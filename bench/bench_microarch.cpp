@@ -11,6 +11,7 @@
 #include "branch/predictor.hpp"
 #include "core/select_order.hpp"
 #include "core/simulator.hpp"
+#include "emu/checkpoint.hpp"
 #include "emu/emulator.hpp"
 #include "lsq/disambig.hpp"
 #include "mem/cache.hpp"
@@ -105,6 +106,26 @@ void BM_EmulatorFastRunThroughput(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(total));
 }
 BENCHMARK(BM_EmulatorFastRunThroughput);
+
+// Start-up cost of a detailed window: build a Simulator from a fixed
+// fast-forward checkpoint and destroy it, without running it. Arg 0 is
+// gzip (small image), arg 1 mcf (a ~2 MB arena). This is the per-task cost
+// that campaign tasks started from a checkpoint pay before their first
+// cycle; perfbench folds it into campaign.task_overhead_share.
+void BM_SimulatorFromCheckpoint(benchmark::State& state) {
+  const Workload w = build_workload(state.range(0) == 0 ? "gzip" : "mcf");
+  const auto ckpt = fast_forward(w.program, 50'000'000);
+  if (!ckpt) std::abort();
+  const MachineConfig cfg = bitsliced_machine(2, kAllTechniques);
+  for (auto _ : state) {
+    Simulator sim(cfg, w.program, *ckpt);
+    benchmark::DoNotOptimize(&sim);
+    benchmark::ClobberMemory();
+  }
+  state.counters["ckpt_pages"] = static_cast<double>(ckpt->pages.size());
+}
+BENCHMARK(BM_SimulatorFromCheckpoint)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 // --- scheduler hot-loop isolation (uops.info-style attribution) -----------
 // Two synthetic programs bracket the scheduler's cost structure. A serial

@@ -31,7 +31,8 @@
 # under BSP_BENCH_COSIM (default spot:64; old binaries ignore the
 # variable) so the A/B states the speedup under the co-simulation
 # cadence it is claimed for; set PAIRED_COSIM=full for a
-# cadence-neutral comparison.
+# cadence-neutral comparison. PAIRED_FILTER picks another single
+# benchmark to pair (default 'BM_SimulatorThroughput/0$').
 #
 # Alongside the microbenchmark baseline the script records
 # BENCH_sampling.json: monolithic vs sampled-simulation (K=8) wall clock
@@ -69,7 +70,7 @@ if [ "${1:-}" = "--paired" ]; then
   OUT="${4:-BENCH_simcore.json}"
   REPS="${PAIRED_REPS:-7}"
   COSIM="${PAIRED_COSIM:-spot:64}"
-  PFILTER='BM_SimulatorThroughput/0$'
+  PFILTER="${PAIRED_FILTER:-BM_SimulatorThroughput/0\$}"
   TMPD=$(mktemp -d)
   trap 'rm -rf "$TMPD"' EXIT
   run_old() {

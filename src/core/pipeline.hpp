@@ -229,12 +229,14 @@ struct FetchSlot {
 struct SimStats {
   u64 cycles = 0;
   u64 committed = 0;
-  u64 dispatched = 0;
-  u64 bogus_dispatched = 0;
+  u64 dispatched = 0;        // all dispatches, wrong-path ones included
+  u64 bogus_dispatched = 0;  // the wrong-path share of `dispatched`
 
   u64 branches = 0;             // committed conditional branches
   u64 branch_mispredicts = 0;
-  u64 early_resolved_branches = 0;  // mispredicts signalled before last slice
+  // Correct-path branches resolved before their last slice completed,
+  // whether predicted correctly or not.
+  u64 early_resolved_branches = 0;
 
   u64 loads = 0;
   u64 stores = 0;

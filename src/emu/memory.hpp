@@ -65,9 +65,19 @@ class SparseMemory {
     store_u16(addr + 2, static_cast<u16>(v >> 16));
   }
 
+  // Copies a page run at a time. Restoring a checkpoint writes every page
+  // through here, once per emulator, so this is most of the start-up cost
+  // of a checkpoint-started window.
   void write_block(u32 addr, const void* src, std::size_t n) {
     const u8* b = static_cast<const u8*>(src);
-    for (std::size_t i = 0; i < n; ++i) store_u8(addr + static_cast<u32>(i), b[i]);
+    while (n > 0) {
+      const std::size_t run =
+          std::min<std::size_t>(n, kPageSize - offset(addr));
+      std::memcpy(&page(addr).bytes[offset(addr)], b, run);
+      addr += static_cast<u32>(run);
+      b += run;
+      n -= run;
+    }
   }
 
   std::size_t pages_allocated() const { return pages_.size(); }

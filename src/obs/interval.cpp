@@ -43,7 +43,8 @@ const std::vector<CounterDesc>& simstats_counters() {
   static const std::vector<CounterDesc> kCounters = {
       {"cycles", "cycles", "simulated cycles elapsed", &SimStats::cycles},
       {"committed", "insts", "instructions retired", &SimStats::committed},
-      {"dispatched", "insts", "correct-path instructions dispatched",
+      {"dispatched", "insts",
+       "instructions dispatched, wrong-path ones included",
        &SimStats::dispatched},
       {"bogus_dispatched", "insts", "wrong-path instructions dispatched",
        &SimStats::bogus_dispatched},
@@ -52,7 +53,8 @@ const std::vector<CounterDesc>& simstats_counters() {
       {"branch_mispredicts", "events", "branch direction/target mispredicts",
        &SimStats::branch_mispredicts},
       {"early_resolved_branches", "events",
-       "mispredicts signalled before the last slice completed",
+       "correct-path branches resolved before their last slice completed, "
+       "predicted correctly or not",
        &SimStats::early_resolved_branches},
       {"loads", "insts", "committed loads", &SimStats::loads},
       {"stores", "insts", "committed stores", &SimStats::stores},

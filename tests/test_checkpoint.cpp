@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "asm/assembler.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
+#include "obs/interval.hpp"
 #include "util/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -157,6 +160,64 @@ TEST(Checkpoint, CaptureRestoreCaptureIsByteIdentical) {
   ASSERT_TRUE(save_checkpoint(first, a));
   ASSERT_TRUE(save_checkpoint(second, b));
   EXPECT_EQ(a.str(), b.str());  // byte-for-byte equal serialisations
+}
+
+std::string serialised(const Checkpoint& ckpt) {
+  std::stringstream os;
+  EXPECT_TRUE(save_checkpoint(ckpt, os));
+  return os.str();
+}
+
+TEST(Checkpoint, RestoresFromOneCheckpointDivergeIndependently) {
+  // Two emulators restored from one checkpoint must not alias its pages or
+  // each other's: each ends exactly where a straight run ends, and the
+  // checkpoint itself does not change.
+  const Workload w = build_workload("mcf");
+  const auto ckpt = fast_forward(w.program, 50'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const std::string before = serialised(*ckpt);
+
+  Emulator a(w.program), b(w.program);
+  restore_checkpoint(a, *ckpt);
+  restore_checkpoint(b, *ckpt);
+  a.run(20'000);
+  b.run(5'000);
+
+  Emulator ref_a(w.program), ref_b(w.program);
+  ref_a.run(70'000);
+  ref_b.run(55'000);
+  EXPECT_EQ(serialised(capture_checkpoint(a)),
+            serialised(capture_checkpoint(ref_a)));
+  EXPECT_EQ(serialised(capture_checkpoint(b)),
+            serialised(capture_checkpoint(ref_b)));
+  EXPECT_EQ(serialised(*ckpt), before);
+}
+
+TEST(Checkpoint, ConcurrentSimulatorsFromOneCheckpoint) {
+  // Campaign workers build many simulators from one cached checkpoint at
+  // once (the in-process memo hands every task the same Checkpoint); doing
+  // so must not change any simulated counter.
+  const Workload w = build_workload("mcf");
+  const auto ckpt = fast_forward(w.program, 50'000);
+  ASSERT_TRUE(ckpt.has_value());
+  const MachineConfig cfg = bitsliced_machine(2, kAllTechniques);
+  const auto simulate = [&] {
+    Simulator sim(cfg, w.program, *ckpt);
+    return sim.run(4'000, 1'000);
+  };
+  const SimResult serial = simulate();
+  ASSERT_TRUE(serial.ok()) << serial.error;
+
+  std::vector<SimResult> results(4);
+  std::vector<std::thread> threads;
+  for (SimResult& r : results)
+    threads.emplace_back([&simulate, &r] { r = simulate(); });
+  for (std::thread& t : threads) t.join();
+  for (const SimResult& r : results) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    for (const obs::CounterDesc& c : obs::simstats_counters())
+      EXPECT_EQ(r.stats.*c.field, serial.stats.*c.field) << c.name;
+  }
 }
 
 TEST(Checkpoint, FastForwardFailsOnExitedProgram) {

@@ -100,6 +100,23 @@ even:
   EXPECT_GT(r.stats.branch_mispredicts, 500u);
   EXPECT_GT(r.stats.bogus_dispatched, r.stats.branch_mispredicts)
       << "each recovery should have flushed some wrong-path work";
+  EXPECT_GE(r.stats.dispatched, r.stats.committed + r.stats.bogus_dispatched)
+      << "dispatched counts wrong-path dispatches too";
+}
+
+// early_resolved_branches counts every branch resolved before its last
+// slice, not only mispredicts: straight-line never-taken beqs (predicted
+// not-taken by the cold counters, so never mispredicted) whose operands
+// differ in the low slice resolve early on a slice-by-2 machine.
+TEST(CoreDirected, EarlyResolutionCountsCorrectlyPredictedBranches) {
+  std::string src = ".text\nmain:\n  li $t1, 0x10000\n";
+  for (int i = 0; i < 64; ++i)
+    src += "  addiu $t0, $t0, 1\n  beq $t0, $t1, main\n";
+  src += kExit;
+  const SimResult r = run(bitsliced_machine(2, kAllTechniques), src);
+  EXPECT_TRUE(r.exited);
+  EXPECT_EQ(r.stats.branch_mispredicts, 0u);
+  EXPECT_GT(r.stats.early_resolved_branches, 0u);
 }
 
 // Call/return chains: the RAS should make jr $ra nearly free; the program
