@@ -10,28 +10,43 @@
 #   scripts/sweep_serve_smoke.sh [build-dir] [out-dir]
 #
 # Environment: N (instructions per task, default 20000), W (workload,
-# default li; the fig11 campaign narrows to 13 tasks per workload).
+# default li; the fig11 campaign narrows to 13 tasks per workload),
+# WARMUP (warm-up commits, default 0) and DETAILED_WARMUP (optional
+# --detailed-warmup). With DETAILED_WARMUP below WARMUP the tasks warm
+# functionally, and a process-isolated (--worker-json) run joins the
+# comparison, so thread, process and remote workers must all agree.
 set -eu
 
 BUILD=${1:-build}
 OUT=${2:-sweep-serve-smoke}
 N=${N:-20000}
 W=${W:-li}
+WARMUP=${WARMUP:-0}
 SWEEP=$BUILD/tools/bsp-sweep
 SCRIPTS=$(dirname "$0")
 EXPECT_TASKS=13
+SPEC="--campaign fig11 -n $N --warmup $WARMUP -w $W"
+[ -n "${DETAILED_WARMUP:-}" ] && SPEC="$SPEC --detailed-warmup $DETAILED_WARMUP"
 
 [ -x "$SWEEP" ] || { echo "no bsp-sweep at $SWEEP" >&2; exit 1; }
 mkdir -p "$OUT"
 rm -f "$OUT"/ports "$OUT"/*.jsonl "$OUT"/*.out
 
 # Single-host reference: same spec, plain local run.
-"$SWEEP" --campaign fig11 -n "$N" --warmup 0 -w "$W" --fresh --no-progress \
+# shellcheck disable=SC2086  # $SPEC is a flag list
+"$SWEEP" $SPEC --fresh --no-progress \
   --out "$OUT/reference.jsonl" > "$OUT/reference.out"
 grep -q "$EXPECT_TASKS ran ($EXPECT_TASKS ok, 0 failed" "$OUT/reference.out"
+if [ -n "${DETAILED_WARMUP:-}" ]; then
+  # shellcheck disable=SC2086
+  "$SWEEP" $SPEC --fresh --no-progress --isolate process \
+    --out "$OUT/process.jsonl" > "$OUT/process.out"
+  grep -q "$EXPECT_TASKS ran ($EXPECT_TASKS ok, 0 failed" "$OUT/process.out"
+fi
 
 # Coordinator: ephemeral ports, advertised through --port-file.
-"$SWEEP" --campaign fig11 -n "$N" --warmup 0 -w "$W" --fresh --no-progress \
+# shellcheck disable=SC2086
+"$SWEEP" $SPEC --fresh --no-progress \
   --serve 127.0.0.1:0 --status-endpoint 127.0.0.1:0 \
   --port-file "$OUT/ports" \
   --out "$OUT/distributed.jsonl" > "$OUT/serve.out" 2>&1 &
@@ -83,7 +98,7 @@ grep -q "$EXPECT_TASKS ran ($EXPECT_TASKS ok, 0 failed" "$OUT/serve.out" || {
 
 # Exactly-once in the store, and byte-identical stats vs the reference.
 python3 - "$OUT" "$EXPECT_TASKS" <<'EOF'
-import json, sys
+import json, os, sys
 out, expect = sys.argv[1], int(sys.argv[2])
 
 def stats(path):
@@ -96,12 +111,18 @@ def stats(path):
     return recs
 
 ref = stats(f"{out}/reference.jsonl")
-dist = stats(f"{out}/distributed.jsonl")
 assert len(ref) == expect, f"reference has {len(ref)} tasks"
-assert ref.keys() == dist.keys(), \
-    f"task sets differ: {sorted(ref.keys() ^ dist.keys())}"
-for tid in ref:
-    assert ref[tid] == dist[tid], f"stats diverged for {tid}"
-print(f"distributed smoke: {len(ref)} tasks exactly once, "
-      "stats identical to single-host reference")
+others = ["distributed"]
+if os.path.exists(f"{out}/process.jsonl"):
+    others.append("process")
+for name in others:
+    got = stats(f"{out}/{name}.jsonl")
+    assert ref.keys() == got.keys(), \
+        f"{name}: task sets differ: {sorted(ref.keys() ^ got.keys())}"
+    for tid in ref:
+        assert ref[tid] == got[tid], f"{name}: stats diverged for {tid}"
+fw = sum("/fw=" in tid for tid in ref)
+print(f"distributed smoke: {len(ref)} tasks exactly once ({fw} warmed "
+      f"functionally), {' and '.join(others)} stats identical to "
+      "single-host reference")
 EOF

@@ -30,6 +30,10 @@ MachinePoint sliced_point(unsigned slices, TechniqueSet techniques,
   return p;
 }
 
+// Detailed warm-up tail of the paper campaigns: the earlier warm-up
+// commits are warmed functionally (TaskSpec::detailed_warmup).
+constexpr u64 kPaperDetailedWarmup = 10'000;
+
 // The Figures 11/12 cumulative stacks as machine points, labels prefixed
 // with the slice count so the x2 and x4 columns stay distinguishable.
 void append_stack(std::vector<MachinePoint>& points, unsigned slices) {
@@ -55,6 +59,7 @@ void append_stack(std::vector<MachinePoint>& points, unsigned slices) {
 SweepSpec make_fig11() {
   SweepSpec spec;
   spec.name = "fig11";
+  spec.detailed_warmup = kPaperDetailedWarmup;
   spec.workloads = workload_names();
   spec.machines.push_back(base_point());
   append_stack(spec.machines, 2);
@@ -65,6 +70,7 @@ SweepSpec make_fig11() {
 SweepSpec make_fig12() {
   SweepSpec spec;
   spec.name = "fig12";
+  spec.detailed_warmup = kPaperDetailedWarmup;
   spec.workloads = workload_names();
   append_stack(spec.machines, 2);
   append_stack(spec.machines, 4);
@@ -74,6 +80,7 @@ SweepSpec make_fig12() {
 SweepSpec make_abl_slice_width() {
   SweepSpec spec;
   spec.name = "abl_slice_width";
+  spec.detailed_warmup = kPaperDetailedWarmup;
   // The ablation driver's default subset; override with -w for more.
   spec.workloads = {"bzip", "ijpeg", "li", "vortex"};
   spec.machines.push_back(base_point());

@@ -227,7 +227,12 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
       }
       sim.set_options(so);
     }
-    const SimResult res = sim.run(task.instructions, task.warmup);
+    // Functional warming first, then only the last detailed_warmup
+    // warm-up commits through the timing core (SweepSpec::detailed_warmup).
+    const u64 functional = task.functional_warmup();
+    if (functional > 0) sim.warm(functional);
+    const SimResult res =
+        sim.run(task.instructions, task.warmup - functional);
     AttemptResult r;
     r.stats = res.stats;
     r.error = res.error;
@@ -273,16 +278,8 @@ Table summary_table(const SweepSpec& spec, const CampaignReport& report) {
         row.push_back(buf);
       }
       for (std::size_t mi = 0; mi < spec.machines.size(); ++mi) {
-        TaskSpec probe;
-        probe.campaign = spec.name;
-        probe.workload = workload;
-        probe.seed = seed;
-        probe.machine = spec.machines[mi];
-        probe.instructions = spec.instructions;
-        probe.warmup = spec.warmup;
-        probe.fast_forward = spec.fast_forward;
-        probe.cosim = spec.cosim;
-        const auto it = by_id.find(probe.id());
+        const auto it =
+            by_id.find(spec.task(workload, seed, spec.machines[mi]).id());
         if (it == by_id.end()) {
           row.push_back("-");
         } else if (it->second->status != "ok") {

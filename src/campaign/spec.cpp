@@ -1,5 +1,6 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -31,14 +32,34 @@ std::string MachinePoint::key() const {
   return os.str();
 }
 
+u64 TaskSpec::functional_warmup() const {
+  return warmup - std::min(detailed_warmup, warmup);
+}
+
 std::string TaskSpec::id() const {
   std::ostringstream os;
   os << campaign << "/" << workload << "/seed=0x" << std::hex << seed
      << std::dec << "/" << machine.key() << "/n=" << instructions
      << "/w=" << warmup;
+  if (const u64 fw = functional_warmup()) os << "/fw=" << fw;
   if (fast_forward != 0) os << "/ff=" << fast_forward;
   if (!cosim.empty()) os << "/cosim=" << cosim;
   return os.str();
+}
+
+TaskSpec SweepSpec::task(const std::string& workload, u64 seed,
+                         const MachinePoint& machine) const {
+  TaskSpec t;
+  t.campaign = name;
+  t.workload = workload;
+  t.seed = seed;
+  t.machine = machine;
+  t.instructions = instructions;
+  t.warmup = warmup;
+  t.detailed_warmup = detailed_warmup;
+  t.fast_forward = fast_forward;
+  t.cosim = cosim;
+  return t;
 }
 
 std::vector<TaskSpec> SweepSpec::expand() const {
@@ -47,15 +68,7 @@ std::vector<TaskSpec> SweepSpec::expand() const {
   for (const auto& workload : workloads) {
     for (const u64 seed : seeds) {
       for (const auto& machine : machines) {
-        TaskSpec t;
-        t.campaign = name;
-        t.workload = workload;
-        t.seed = seed;
-        t.machine = machine;
-        t.instructions = instructions;
-        t.warmup = warmup;
-        t.fast_forward = fast_forward;
-        t.cosim = cosim;
+        TaskSpec t = task(workload, seed, machine);
         if (seen.insert(t.id()).second) tasks.push_back(std::move(t));
       }
     }

@@ -45,6 +45,10 @@ struct TaskSpec {
   MachinePoint machine;
   u64 instructions = 200'000;
   u64 warmup = 300'000;
+  // How many of the last warm-up commits run through the detailed core;
+  // the ones before them are warmed functionally (Simulator::warm). The
+  // default keeps every warm-up commit detailed, the reference path.
+  u64 detailed_warmup = kAllDetailed;
   // Instructions to fast-forward on the functional emulator before detailed
   // timing starts (the paper skips ~1B per benchmark). 0 = start at reset.
   // Tasks sharing (workload, seed, fast_forward) can reuse one checkpoint.
@@ -55,10 +59,17 @@ struct TaskSpec {
   // when set, since it changes what a run verifies.
   std::string cosim;
 
+  static constexpr u64 kAllDetailed = ~u64{0};
+
+  // Warm-up commits warmed functionally before detailed simulation starts:
+  // warmup - min(detailed_warmup, warmup).
+  u64 functional_warmup() const;
+
   // Canonical unique key, e.g.
-  // "fig11/li/seed=0x5eed/sliced-x2-t0x1f/n=200000/w=300000"; a nonzero
-  // fast_forward appends "/ff=N" and a non-empty cosim "/cosim=MODE" (unset
-  // adds nothing, so pre-existing stores resume unchanged).
+  // "fig11/li/seed=0x5eed/sliced-x2-t0x1f/n=200000/w=300000/fw=290000"; a
+  // nonzero functional_warmup() adds "/fw=F" after the warm-up, a nonzero
+  // fast_forward appends "/ff=N" and a non-empty cosim "/cosim=MODE" (zero
+  // or unset adds nothing, so pre-existing stores resume unchanged).
   std::string id() const;
 };
 
@@ -69,8 +80,13 @@ struct SweepSpec {
   std::vector<u64> seeds = {0x5eedu};
   u64 instructions = 200'000;
   u64 warmup = 300'000;
+  u64 detailed_warmup = TaskSpec::kAllDetailed;  // applied to every task
   u64 fast_forward = 0;   // applied to every expanded task
   std::string cosim;      // applied to every expanded task ("" = full)
+
+  // The grid cell (workload, seed, machine) as a task of this sweep.
+  TaskSpec task(const std::string& workload, u64 seed,
+                const MachinePoint& machine) const;
 
   // Deterministic expansion: workload-major, then seed, then machine point,
   // in declaration order. Duplicate grid entries (a repeated workload, seed

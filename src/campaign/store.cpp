@@ -154,6 +154,10 @@ std::string to_jsonl(const TaskRecord& rec) {
      << ",\"label\":\"" << escape(t.machine.label) << "\""
      << ",\"instructions\":" << t.instructions
      << ",\"warmup\":" << t.warmup;
+  // Written only when some warm-up is functional so pre-warming stores
+  // stay byte-stable.
+  if (t.functional_warmup() != 0)
+    os << ",\"detailed_warmup\":" << t.detailed_warmup;
   // Written only when nonzero so pre-fast-forward stores stay byte-stable.
   if (t.fast_forward != 0) os << ",\"fast_forward\":" << t.fast_forward;
   // Written only when set so pre-cosim stores stay byte-stable. Key is
@@ -346,6 +350,9 @@ std::optional<TaskRecord> parse_jsonl(const std::string& line) {
   rec.task.machine.label = *label;
   rec.task.instructions = *instructions;
   rec.task.warmup = *warmup;
+  // "detailed_warmup" never collides with "warmup": the extractor needles
+  // include the opening quote.
+  if (const auto dw = num("detailed_warmup")) rec.task.detailed_warmup = *dw;
   if (const auto ff = num("fast_forward")) rec.task.fast_forward = *ff;
   if (const auto cm = str("cosim_mode")) rec.task.cosim = *cm;
   rec.status = *status;

@@ -349,6 +349,14 @@ struct Simulator::Impl {
       cons_pool[l.tail].next = n;
     l.tail = n;
   }
+  // Records that entry `idx` must be revalidated when in-flight entry
+  // `producer` is retimed. Every edge points strictly younger, so the
+  // dependence graph is acyclic and the replay fixpoint (run_relax) has
+  // nothing to cycle on.
+  void add_consumer(unsigned producer, unsigned idx) {
+    assert(ruu[producer].valid && ruu[producer].seq < ruu[idx].seq);
+    cons_append(consumers[producer], ConsumerRef{idx, ruu[idx].seq});
+  }
   // O(1) whole-list recycling: splice the list onto the free list.
   void wait_recycle(NodeList& l) {
     if (l.head < 0) return;
@@ -1203,10 +1211,15 @@ struct Simulator::Impl {
 
     // Register this entry on each in-flight producer's consumer list: the
     // selective-replay cascade walks these edges instead of the whole RUU.
-    for (const ProducerRef& src : e.sources)
-      if (src.index >= 0)
-        cons_append(consumers[static_cast<unsigned>(src.index)],
-                    ConsumerRef{idx, e.seq});
+    // A source may be a stale reference that recovery restored after its
+    // producer committed (see squash_younger_than); it names a recycled
+    // slot — possibly this very one — and must not become an edge.
+    for (const ProducerRef& src : e.sources) {
+      if (src.index < 0) continue;
+      const unsigned p = static_cast<unsigned>(src.index);
+      if (p != idx && ruu[p].valid && ruu[p].seq == src.seq)
+        add_consumer(p, idx);
+    }
 
     // Destination renaming (wrong-path results feed wrong-path consumers),
     // saving the displaced mappings for O(squashed) recovery.
@@ -1735,8 +1748,7 @@ struct Simulator::Impl {
             set_mem_phase(e, MemPhase::Done);
             // Replay edge: if the store's address/data times regress, this
             // load's forward must be revalidated.
-            cons_append(consumers[static_cast<unsigned>(d.store_id)],
-                        ConsumerRef{idx, e.seq});
+            add_consumer(static_cast<unsigned>(d.store_id), idx);
             publish_load_data(idx);
             break;
           }
@@ -1750,8 +1762,7 @@ struct Simulator::Impl {
             e.data_final = false;
             e.predicted_way = -3;
             set_mem_phase(e, MemPhase::Access);
-            cons_append(consumers[static_cast<unsigned>(d.store_id)],
-                        ConsumerRef{idx, e.seq});
+            add_consumer(static_cast<unsigned>(d.store_id), idx);
             publish_load_data(idx);
             break;
           }
@@ -1872,12 +1883,30 @@ struct Simulator::Impl {
   // store->forwarded-load edges), which reaches the same fixpoint — an op's
   // legality depends only on its sources' recorded times, its own chain
   // predecessors and dispatch-time constants.
+  //
+  // Liveness: consumer edges point strictly younger (add_consumer), each
+  // entry changes at most once per slice-op plus once each for its load,
+  // store and branch state per call, and each change relays to at most
+  // ruu_entries consumers. A converging fixpoint therefore visits far
+  // fewer entries than `pop_limit`; exceeding it means the fixpoint cycles,
+  // and the run fails with a named error instead of spinning at one cycle
+  // where the commit watchdog cannot see it.
   void run_relax() {
     // Sub-phase timing: relaxation runs inside memory_progress, so this
     // time is *also* counted in hprof.memory (see obs/host_profile.hpp).
     HpClock::time_point t0;
     if (host_profile_on) t0 = HpClock::now();
+    const u64 pop_limit =
+        u64{2} * (kMaxSlices + 4) * core.ruu_entries * core.ruu_entries;
+    u64 pops = 0;
     while (!relax_work.empty()) {
+      if (++pops > pop_limit) {
+        fail("replay livelock: selective-replay relaxation did not converge "
+             "after " + std::to_string(pop_limit) + " entry visits");
+        for (const unsigned i : relax_work) relax_queued[i] = 0;
+        relax_work.clear();
+        break;
+      }
       const unsigned idx = relax_work.back();
       relax_work.pop_back();
       relax_queued[idx] = 0;
@@ -2405,6 +2434,62 @@ struct Simulator::Impl {
     return std::max(next, now + 1);
   }
 
+  // Functional warming; see Simulator::warm. Mirrors what the detailed
+  // core does to long-lived state for one correct-path instruction: fetch's
+  // same-line I-cache probe, the load/store data access, and predict at
+  // fetch then resolve with resolve_and_recover's history repair.
+  void warm(u64 n) {
+    assert(next_seq == 1 && "warm() must precede run()");
+    const u32 line_mask = ~(cfg.memory.l1i.line_bytes - 1);
+    ExecRecord r;
+    StepResult sr;
+    u64 stepped = 0;
+    while (stepped < n) {
+      sr = oracle.step(&r);
+      if (!sr.ok()) break;
+      ++stepped;
+      const u32 line = r.pc & line_mask;
+      if (line != last_fetch_line_) {
+        mem.fetch_latency(r.pc);
+        last_fetch_line_ = line;
+      }
+      if (r.is_load || r.is_store) mem.data_latency(r.mem_addr, r.is_store);
+      if (r.inst.is_control()) {
+        const BranchPrediction p = predictor.predict(r.pc, r.inst);
+        predictor.resolve(r.pc, r.inst, r.branch_taken, r.next_pc,
+                          p.history_checkpoint);
+        if ((p.taken ? p.target : r.pc + 4) != r.next_pc) {
+          if (r.inst.is_cond_branch())
+            predictor.repair_history(p.history_checkpoint, r.branch_taken);
+          else
+            predictor.repair_history_exact(p.history_checkpoint);
+        }
+      }
+    }
+    if (sr.kind == StepResult::Kind::Fault) {
+      fail("oracle fault during functional warm-up: " + sr.fault);
+      return;
+    }
+    if (cosim_mode_ != CosimMode::kOff) {
+      // run_fast() counts only instructions that retired normally, as the
+      // loop above does; an exit stops both emulators on the same syscall.
+      StepResult cr;
+      const u64 ran = checker.run_fast(stepped, &cr);
+      const bool exit_agrees = !sr.exited() || checker.step().exited();
+      if (ran != stepped || checker.pc() != oracle.pc() || !exit_agrees) {
+        fail("co-simulation divergence: checker desynced during functional "
+             "warm-up");
+        return;
+      }
+    }
+    if (sr.exited()) {
+      exited = true;
+      exit_code = sr.exit_code;
+      halted = true;
+    }
+    fetch_pc = oracle.pc();
+  }
+
   SimResult run(u64 max_commits, u64 warmup_commits) {
     const WallTimer timer;
     max_commits_ = warmup_commits + max_commits;
@@ -2569,6 +2654,8 @@ Simulator::~Simulator() = default;
 SimResult Simulator::run(u64 max_commits, u64 warmup_commits) {
   return impl_->run(max_commits, warmup_commits);
 }
+
+void Simulator::warm(u64 n) { impl_->warm(n); }
 
 void Simulator::set_pipe_trace(std::ostream& os, Cycle start, Cycle end) {
   if (impl_->owned_pipe_sink) {  // re-target: drop the previous sink

@@ -92,7 +92,8 @@ class Simulator {
   // Starts from a captured architectural state (see emu/checkpoint.hpp)
   // instead of the program's entry point: the oracle, the co-simulation
   // checker and the fetch pc all begin at the checkpoint. Caches and
-  // predictors start cold — combine with run()'s warm-up to heat them.
+  // predictors start cold — combine with warm() and/or run()'s warm-up to
+  // heat them.
   Simulator(const MachineConfig& config, const Program& program,
             const Checkpoint& start);
   Simulator(Simulator&&) noexcept;
@@ -105,6 +106,21 @@ class Simulator {
   // fast-forward), the program exits, or an internal error occurs. May be
   // called once per Simulator instance.
   SimResult run(u64 max_commits, u64 warmup_commits = 0);
+
+  // Functional warming (SMARTS, Wunderlich et al., ISCA 2003): steps the
+  // oracle `n` instructions in program order and updates only the state
+  // that outlives a warm-up — the L1I (once per line change), L1D and L2,
+  // and gshare/BTB/RAS through predict-then-resolve with the same history
+  // repair a mispredict gets in the timing core. No wrong-path fetch, no
+  // in-flight state, no SimStats. The co-simulation checker is brought
+  // level through run_fast() (skipped when co-sim is off) and fetch starts
+  // at the oracle's pc, so run() continues exactly where warming stopped:
+  // `warm(W - D); run(M, D)` measures the same window as `run(M, W)` with
+  // only the last D warm-up commits simulated in detail. A fault or
+  // checker divergence surfaces as run()'s error; a program that exits
+  // while warming makes run() return `exited` with nothing measured. May
+  // be called once, before run().
+  void warm(u64 n);
 
   // Selects the co-simulation cadence (default: CosimMode::kFull). Must be
   // called before run().

@@ -25,6 +25,7 @@
 #include "campaign/progress.hpp"
 #include "core/simulator.hpp"
 #include "emu/checkpoint.hpp"
+#include "obs/interval.hpp"
 #include "workloads/workloads.hpp"
 
 namespace bsp::campaign {
@@ -388,9 +389,11 @@ TEST(Campaign, TimedOutTaskIsRecordedAndDoesNotKillTheCampaign) {
   options.progress = false;
   options.scheduler.jobs = 1;
   options.scheduler.timeout_sec = 0.05;
+  // Captured by value: the timed-out attempt is abandoned detached and
+  // still runs after this test returns.
   const auto report = run_campaign(
       spec,
-      [&](const TaskSpec& task) -> AttemptResult {
+      [slow](const TaskSpec& task) -> AttemptResult {
         if (task.id() == slow)
           std::this_thread::sleep_for(std::chrono::milliseconds(500));
         return fake_runner()(task);
@@ -498,6 +501,88 @@ TEST(SweepSpec, FastForwardEntersTaskIdOnlyWhenSet) {
   const TaskSpec t = spec.expand().front();
   EXPECT_EQ(t.fast_forward, 5'000'000u);
   EXPECT_EQ(t.id(), plain + "/ff=5000000");
+}
+
+TEST(SweepSpec, FunctionalWarmupEntersTaskIdOnlyWhenSet) {
+  // Byte-compat: with no functional warm-up (F = 0) the ids are exactly
+  // those of old stores, so existing JSONL files still resume cleanly.
+  SweepSpec spec = small_spec();
+  spec.warmup = 5'000;
+  const std::string plain = spec.expand().front().id();
+  EXPECT_EQ(plain.find("/fw="), std::string::npos);
+  spec.detailed_warmup = 0;  // all functional
+  EXPECT_EQ(spec.expand().front().id(), plain + "/fw=5000");
+  spec.detailed_warmup = spec.warmup;  // all detailed: still F = 0
+  EXPECT_EQ(spec.expand().front().id(), plain);
+  spec.detailed_warmup = spec.warmup + 1;
+  EXPECT_EQ(spec.expand().front().id(), plain);
+
+  // The paper campaign at a 10k warm-up: the 10k detailed tail covers it.
+  SweepSpec fig11 = find_campaign("fig11")->make();
+  fig11.warmup = 10'000;
+  for (const TaskSpec& t : fig11.expand()) {
+    EXPECT_EQ(t.functional_warmup(), 0u);
+    EXPECT_EQ(t.id().find("/fw="), std::string::npos) << t.id();
+  }
+
+  // At its default budgets fig11 warms 290k of its 300k warm-up commits.
+  const TaskSpec t = find_campaign("fig11")->make().expand().front();
+  EXPECT_EQ(t.functional_warmup(), 290'000u);
+  EXPECT_EQ(t.id(), "fig11/" + t.workload + "/seed=0x5eed/base/n=200000/"
+                    "w=300000/fw=290000");
+}
+
+TEST(ResultStore, JsonlRoundTripsDetailedWarmupOnlyWhenFunctional) {
+  TaskRecord rec;
+  rec.task = small_spec().expand().front();
+  rec.status = "ok";
+  rec.stats = fake_stats(rec.task);
+  // F = 0: no field, so stores written before it stay byte-stable.
+  rec.task.detailed_warmup = rec.task.warmup;
+  EXPECT_EQ(to_jsonl(rec).find("detailed_warmup"), std::string::npos);
+  EXPECT_EQ(to_jsonl(rec).find("/fw="), std::string::npos);
+
+  rec.task.warmup = 300'000;
+  rec.task.detailed_warmup = 10'000;
+  const std::string line = to_jsonl(rec);
+  EXPECT_NE(line.find(",\"warmup\":300000,\"detailed_warmup\":10000,"),
+            std::string::npos)
+      << line;
+  const auto back = parse_jsonl(line);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->task.warmup, 300'000u);
+  EXPECT_EQ(back->task.detailed_warmup, 10'000u);
+  EXPECT_EQ(back->task.functional_warmup(), 290'000u);
+  EXPECT_EQ(back->task.id(), rec.task.id());
+  EXPECT_EQ(to_jsonl(*back), line);
+
+  // The queued form that process and remote workers receive carries it too.
+  const auto queued = parse_jsonl(task_jsonl(rec.task));
+  ASSERT_TRUE(queued.has_value());
+  EXPECT_EQ(queued->task.id(), rec.task.id());
+  EXPECT_EQ(queued->task.detailed_warmup, 10'000u);
+}
+
+TEST(Campaign, SimRunnerWarmsFunctionallyThenSimulatesTheDetailedTail) {
+  TaskSpec task;
+  task.campaign = "fw";
+  task.workload = "li";
+  task.machine.kind = MachineKind::Sliced;
+  task.machine.slices = 2;
+  task.machine.techniques = kAllTechniques;
+  task.instructions = 5'000;
+  task.warmup = 20'000;
+  task.detailed_warmup = 2'000;
+  const AttemptResult r = make_sim_runner()(task);
+  ASSERT_TRUE(r.error.empty()) << r.error;
+
+  const Workload w = build_workload("li");
+  Simulator sim(bitsliced_machine(2, kAllTechniques), w.program);
+  sim.warm(18'000);
+  const SimResult direct = sim.run(5'000, 2'000);
+  ASSERT_TRUE(direct.ok()) << direct.error;
+  for (const obs::CounterDesc& c : obs::simstats_counters())
+    EXPECT_EQ(r.stats.*c.field, direct.stats.*c.field) << c.name;
 }
 
 TEST(ResultStore, JsonlRoundTripsCheckpointCacheFields) {
@@ -779,6 +864,25 @@ TEST(Campaign, SummaryTableCoversTheGrid) {
   const Table table = summary_table(spec, report);
   // workload x seed rows plus the mean row.
   EXPECT_EQ(table.rows(), spec.workloads.size() * spec.seeds.size() + 1);
+  std::remove(path.c_str());
+}
+
+TEST(Campaign, SummaryTableFindsFunctionallyWarmedTasks) {
+  // Every cell must resolve to its record, whatever axes the ids carry.
+  SweepSpec spec = small_spec();
+  spec.warmup = 2'000;
+  spec.detailed_warmup = 500;
+  spec.cosim = "spot:8";
+  const std::string path = temp_path("summary_fw");
+  CampaignOptions options;
+  options.out_path = path;
+  options.fresh = true;
+  options.progress = false;
+  const auto report = run_campaign(spec, fake_runner(), options);
+  ASSERT_EQ(report.ok, spec.expand().size());
+  std::ostringstream csv;
+  summary_table(spec, report).print_csv(csv);
+  EXPECT_EQ(csv.str().find(",-"), std::string::npos) << csv.str();
   std::remove(path.c_str());
 }
 

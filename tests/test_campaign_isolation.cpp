@@ -204,9 +204,16 @@ TEST(ProcessIsolation, WorkerTaskJsonHandsTheFullTupleToTheWorker) {
   // whole queued-record JSONL line (the same form TASK frames carry), not
   // the bare id — so a worker can reconstruct the task without re-expanding
   // the spec. The sh worker only answers if $1 really is that line.
-  const TaskSpec task = tiny_spec({0x5eed}).expand().front();
+  // The task warms functionally, so the line must also carry the
+  // detailed-warm-up split the runner needs.
+  SweepSpec spec = tiny_spec({0x5eed});
+  spec.warmup = 1'000;
+  spec.detailed_warmup = 100;
+  const TaskSpec task = spec.expand().front();
   const std::string queued = task_jsonl(task);
   ASSERT_NE(queued.find(task.id()), std::string::npos);
+  ASSERT_NE(queued.find("/fw=900"), std::string::npos);
+  ASSERT_NE(queued.find("\"detailed_warmup\":100"), std::string::npos);
   ASSERT_NE(queued.find("\"status\":\"queued\""), std::string::npos);
   SchedulerOptions options = process_options(sh_worker(
       "[ \"$1\" = \"$2\" ] || exit 9; printf '%s\\n' \"$0\"",

@@ -19,6 +19,7 @@
 #include "campaign/campaign.hpp"
 #include "campaign/remote.hpp"
 #include "campaign/store.hpp"
+#include "obs/interval.hpp"
 #include "obs/json.hpp"
 #include "util/socket.hpp"
 
@@ -353,6 +354,49 @@ TEST(RemoteCampaign, DistributedRunMatchesTheLocalRunnerByteForByte) {
     EXPECT_EQ(rec->stats.cycles, fake_stats(task).cycles);
     EXPECT_EQ(rec->stats.committed, fake_stats(task).committed);
   }
+  std::remove(out.c_str());
+  std::remove(ports_path.c_str());
+}
+
+TEST(RemoteCampaign, FunctionallyWarmedTasksMatchTheLocalRun) {
+  // TASK frames carry the detailed-warm-up split: a worker running the real
+  // simulator must warm exactly as a local thread-mode run does.
+  SweepSpec spec = tiny_spec({0x5eed, 0x1111});
+  spec.warmup = 4'000;
+  spec.detailed_warmup = 1'000;
+  const std::string local_out = temp_path("fw_local") + ".jsonl";
+  const std::string out = temp_path("fw_dist") + ".jsonl";
+  const std::string ports_path = temp_path("fw_ports");
+  const CampaignReport local =
+      run_campaign(spec, make_sim_runner(), serve_options(local_out, true));
+  ASSERT_EQ(local.ok, 2u);
+
+  RemoteOptions ropts;
+  ropts.bind = {"127.0.0.1", 0};
+  ropts.port_file = ports_path;
+  auto serve = std::async(std::launch::async, [&] {
+    return serve_campaign(spec, serve_options(out, true), ropts);
+  });
+  const Ports ports = wait_ports(ports_path);
+  ASSERT_NE(ports.port, 0);
+  const WorkerReport wr = run_remote_worker(worker_options(ports.port, 2),
+                                            test_setup(make_sim_runner()));
+  const CampaignReport report = serve.get();
+  EXPECT_TRUE(wr.done);
+  EXPECT_EQ(report.ok, 2u);
+
+  ResultStore local_store(local_out), store(out);
+  for (const auto& task : spec.expand()) {
+    EXPECT_NE(task.id().find("/fw=3000"), std::string::npos) << task.id();
+    const TaskRecord* a = local_store.find(task.id());
+    const TaskRecord* b = store.find(task.id());
+    ASSERT_NE(a, nullptr) << task.id();
+    ASSERT_NE(b, nullptr) << task.id();
+    EXPECT_EQ(b->task.detailed_warmup, 1'000u);
+    for (const obs::CounterDesc& c : obs::simstats_counters())
+      EXPECT_EQ(a->stats.*c.field, b->stats.*c.field) << c.name;
+  }
+  std::remove(local_out.c_str());
   std::remove(out.c_str());
   std::remove(ports_path.c_str());
 }

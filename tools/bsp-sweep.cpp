@@ -28,6 +28,8 @@
 //   bsp-sweep --list
 //   bsp-sweep --campaign fig11                      # full paper sweep
 //   bsp-sweep --campaign fig11 -n 20000 -w li       # quick smoke slice
+//   bsp-sweep --campaign fig11 --detailed-warmup 300000  # all-detailed
+//                                                   # warm-up reference
 //   bsp-sweep --campaign fig12 --out results/fig12.jsonl --retry-failed
 //   bsp-sweep --campaign fig11 --isolate process --timeout 600
 //   bsp-sweep --campaign fig11 --serve :9000 --status-endpoint :9001
@@ -155,8 +157,8 @@ int main(int argc, char** argv) {
   std::string campaign_name;
   bool list = false, dry_run = false, csv = false;
   bool fresh = false, retry_failed = false, no_progress = false;
-  bool has_n = false, has_warmup = false, has_ff = false;
-  u64 instructions = 0, warmup = 0, fast_forward = 0;
+  bool has_n = false, has_warmup = false, has_ff = false, has_dw = false;
+  u64 instructions = 0, warmup = 0, fast_forward = 0, detailed_warmup = 0;
   std::vector<std::string> workloads;
   std::vector<u64> seeds;
   std::string isolate = "thread";
@@ -181,6 +183,16 @@ int main(int argc, char** argv) {
                    [&](const std::string& v) {
                      warmup = parse_cli_u64("--warmup", v);
                      has_warmup = true;
+                   });
+  parser.add_value("--detailed-warmup", "N",
+                   "simulate only the last N warm-up commits in detail and "
+                   "warm caches and predictors functionally before them "
+                   "(fig11/fig12/abl_slice_width default 10000; N >= the "
+                   "warm-up selects the all-detailed reference path); a "
+                   "functional share F > 0 adds /fw=F to each task id",
+                   [&](const std::string& v) {
+                     detailed_warmup = parse_cli_u64("--detailed-warmup", v);
+                     has_dw = true;
                    });
   parser.add_value("--fast-forward", "N",
                    "functionally fast-forward N instructions before timing "
@@ -470,6 +482,17 @@ int main(int argc, char** argv) {
   if (!seeds.empty()) spec.seeds = seeds;
   if (has_n) spec.instructions = instructions;
   if (has_warmup) spec.warmup = warmup;
+  if (has_dw) spec.detailed_warmup = detailed_warmup;
+  // The sampled runner simulates each interval's warm-up in detail, so a
+  // sampled sweep keeps every warm-up commit detailed (and its task ids).
+  if (sample_intervals > 0) {
+    if (has_dw) {
+      std::cerr << "bsp-sweep: --detailed-warmup does not combine with "
+                   "--sample-intervals\n";
+      return 2;
+    }
+    spec.detailed_warmup = TaskSpec::kAllDetailed;
+  }
   if (has_ff) spec.fast_forward = fast_forward;
   if (!runner_options.cosim.empty()) spec.cosim = runner_options.cosim;
 
