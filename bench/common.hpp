@@ -1,7 +1,7 @@
 // Shared plumbing for the bench drivers: CLI parsing (on the shared
 // util/cli.hpp parser the campaign tools also use), the standard header
-// (Table 2 machine description), and re-exports of the Figure 11/12
-// configuration stacks from src/config.
+// (Table 2 machine description), and the machine configurations from
+// src/config.
 #pragma once
 
 #include <cstdio>
@@ -23,10 +23,8 @@ struct Options {
   u64 warmup = 300'000;        // timing-run warm-up (statistics discarded;
                                // stands in for the paper's 1 B fast-forward)
   u64 skip = 10'000;           // trace-study warm-up (trace-driven only)
-  unsigned jobs = 0;           // sweep parallelism (0 = hardware threads)
   bool csv = false;
   bool print_config = false;
-  bool print_pipelines = false;
   std::vector<std::string> workloads;  // empty = the full suite
 
   const std::vector<std::string>& workload_list() const {
@@ -47,9 +45,6 @@ inline void register_common_options(ArgParser& parser, Options& opt) {
                        std::to_string(opt.warmup) + ")",
                    &opt.warmup);
   parser.add_value("--skip", "N", "trace warm-up instructions", &opt.skip);
-  parser.add_value("-j, --jobs", "N",
-                   "parallel simulations (default: hardware threads)",
-                   &opt.jobs);
   parser.add_value("-w, --workload", "NAME",
                    "restrict to one benchmark (repeatable)", &opt.workloads);
   parser.add_flag("--csv", "machine-readable output", &opt.csv);
@@ -62,9 +57,6 @@ inline Options parse_options(int argc, char** argv, const char* what) {
   parser.add_flag("--print-config",
                   "dump the Table-2 machine configuration",
                   &opt.print_config);
-  parser.add_flag("--print-pipelines",
-                  "dump the Figure-10 pipeline diagrams",
-                  &opt.print_pipelines);
   parser.parse(argc, argv);
   return opt;
 }
@@ -74,14 +66,6 @@ inline void print_header(const Options& opt, const char* title) {
   if (opt.print_config) {
     std::cout << "\nMachine configuration (paper Table 2):\n"
               << base_machine().describe() << "\n";
-  }
-  if (opt.print_pipelines) {
-    std::cout << "Pipelines (paper Figure 10):\n"
-              << "  base:       " << pipeline_diagram(base_machine()) << "\n"
-              << "  slice-by-2: "
-              << pipeline_diagram(simple_pipelined_machine(2)) << "\n"
-              << "  slice-by-4: "
-              << pipeline_diagram(simple_pipelined_machine(4)) << "\n\n";
   }
 }
 

@@ -4,10 +4,11 @@
 #
 #   scripts/run_all_benches.sh [build-dir] [results-dir]
 #
-# Sweeps that have been ported onto the campaign engine run through
-# bsp-sweep: machine-readable JSONL (one record per simulation) plus the
-# summary table, checkpointed so a rerun resumes instead of restarting.
-# The remaining drivers run directly until they are ported too.
+# The figure, table and most ablation sweeps are bsp-sweep campaigns: each
+# writes its JSONL store (one record per simulation, checkpointed so a
+# rerun resumes instead of restarting) and prints its paper rendering.
+# The trace studies and the ablations that need machine overrides a
+# campaign cannot express yet still run as bench drivers.
 set -eu
 
 BUILD="${1:-build}"
@@ -16,18 +17,20 @@ mkdir -p "$OUT"
 
 CAMPAIGNS="
 fig11
-fig12
+table1
 abl_slice_width
+abl_seeds
+abl_extensions
+abl_sam
 "
 
 for c in $CAMPAIGNS; do
   echo "== campaign $c"
   "$BUILD/tools/bsp-sweep" --campaign "$c" --out "$OUT/$c.jsonl" \
-    > "$OUT/$c.txt" 2>&1
+    --no-progress > "$OUT/$c.txt" 2>&1
 done
 
 BENCHES="
-table1_characteristics
 table_operand_profile
 fig2_lsq_disambiguation
 fig4_partial_tag
@@ -35,9 +38,6 @@ fig6_early_branch
 abl_lsq_depth
 abl_way_policy
 abl_stability
-abl_extensions
-abl_seeds
-abl_sam
 abl_predictor
 abl_fp_corner
 abl_window

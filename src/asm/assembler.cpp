@@ -141,7 +141,11 @@ class Assembler {
   u32 data_pc_ = 0;   // byte offset within data
 
   void error(unsigned line, std::string msg) {
-    result_.errors.push_back({line, std::move(msg)});
+    // Filled in place: moving a braced temporary into the vector trips a
+    // gcc-12 LTO -Wstringop-overread false positive on the SSO buffer.
+    AsmError& e = result_.errors.emplace_back();
+    e.line = line;
+    e.message = std::move(msg);
   }
 
   std::vector<Line> parse_lines(std::string_view source) {

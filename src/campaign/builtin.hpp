@@ -1,19 +1,25 @@
-// Built-in named campaigns: the paper sweeps ported from hand-rolled bench
-// driver loops onto the campaign engine. Each is a SweepSpec factory with
-// the same default budgets, seeds and configuration stacks as the legacy
-// driver it mirrors. The drivers simulate every warm-up commit in detail;
-// the campaigns warm functionally and simulate only the last 10k warm-up
-// commits in detail. On fig11 and abl_slice_width that gives the drivers'
-// IPC (identical cycles on every task at seeds 0x5eed and 0x1234), while
-// the dispatch-side counters (dispatched, bogus_dispatched,
+// Built-in named campaigns: the paper's figure, table and ablation sweeps on
+// the campaign engine. Each is a SweepSpec factory (default budgets 200k
+// measured after a 300k warm-up, seed 0x5eed) plus, where the paper's
+// rendering is more than an IPC grid, a report that prints it from the
+// campaign's records: `fig11` renders Figures 11 and 12 from one run,
+// `table1` Table 1, `abl_seeds` and `abl_extensions` their derived columns.
+// `abl_slice_width` and `abl_sam` are plain IPC grids (summary_table).
+//
+// Every campaign warms functionally and simulates only the last 10k warm-up
+// commits in detail. That gives the all-detailed IPC (identical cycles on
+// every task of every campaign at its default seeds, and of fig11 at
+// 0x1234 too), while the dispatch-side counters (dispatched, bogus_dispatched,
 // idle_cycles_skipped) differ on some tasks. `bsp-sweep --detailed-warmup
 // 300000` (any N >= the warm-up) is the detailed reference path, whose
-// SimStats equal the drivers' exactly.
+// reports print exactly what the retired bench drivers printed.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
+#include "campaign/campaign.hpp"
 #include "campaign/spec.hpp"
 
 namespace bsp::campaign {
@@ -22,6 +28,11 @@ struct BuiltinCampaign {
   std::string name;
   std::string description;
   SweepSpec (*make)();
+  // Prints the campaign's paper rendering (tables as CSV when `csv`) from a
+  // report whose every task is ok; bsp-sweep prints summary_table instead
+  // when the report is incomplete or this is nullptr.
+  void (*report)(const SweepSpec& spec, const CampaignReport& report,
+                 bool csv, std::ostream& os) = nullptr;
 };
 
 const std::vector<BuiltinCampaign>& builtin_campaigns();

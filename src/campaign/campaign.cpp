@@ -1,9 +1,11 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <tuple>
 
 #include "campaign/ckpt_cache.hpp"
@@ -257,15 +259,39 @@ TaskRunner make_sim_runner(const RunnerOptions& options) {
   };
 }
 
+bool CampaignReport::all_ok() const {
+  return records.size() == total &&
+         std::all_of(records.begin(), records.end(),
+                     [](const TaskRecord& r) { return r.status == "ok"; });
+}
+
+GridRecords::GridRecords(const SweepSpec& spec, const CampaignReport& report)
+    : spec_(spec) {
+  for (const auto& rec : report.records) by_id_[rec.task.id()] = &rec;
+}
+
+const TaskRecord* GridRecords::find(const std::string& workload, u64 seed,
+                                    const MachinePoint& machine) const {
+  const auto it = by_id_.find(spec_.task(workload, seed, machine).id());
+  return it == by_id_.end() ? nullptr : it->second;
+}
+
+const SimStats& GridRecords::stats(const std::string& workload, u64 seed,
+                                   const MachinePoint& machine) const {
+  const TaskRecord* rec = find(workload, seed, machine);
+  if (!rec)
+    throw std::out_of_range("no record for " +
+                            spec_.task(workload, seed, machine).id());
+  return rec->stats;
+}
+
 Table summary_table(const SweepSpec& spec, const CampaignReport& report) {
   std::vector<std::string> header = {"workload"};
   if (spec.seeds.size() > 1) header.push_back("seed");
   for (const auto& m : spec.machines) header.push_back(m.label);
   Table table(std::move(header));
 
-  std::map<std::string, const TaskRecord*> by_id;
-  for (const auto& rec : report.records) by_id[rec.task.id()] = &rec;
-
+  const GridRecords grid(spec, report);
   std::vector<double> col_sum(spec.machines.size(), 0.0);
   std::vector<unsigned> col_n(spec.machines.size(), 0);
   for (const auto& workload : spec.workloads) {
@@ -278,14 +304,13 @@ Table summary_table(const SweepSpec& spec, const CampaignReport& report) {
         row.push_back(buf);
       }
       for (std::size_t mi = 0; mi < spec.machines.size(); ++mi) {
-        const auto it =
-            by_id.find(spec.task(workload, seed, spec.machines[mi]).id());
-        if (it == by_id.end()) {
+        const TaskRecord* rec = grid.find(workload, seed, spec.machines[mi]);
+        if (!rec) {
           row.push_back("-");
-        } else if (it->second->status != "ok") {
-          row.push_back(it->second->status);
+        } else if (rec->status != "ok") {
+          row.push_back(rec->status);
         } else {
-          const double ipc = it->second->stats.ipc();
+          const double ipc = rec->stats.ipc();
           row.push_back(Table::num(ipc, 3));
           col_sum[mi] += ipc;
           ++col_n[mi];

@@ -3,6 +3,7 @@
 // fault-tolerant scheduler with live progress, and summarise.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,9 @@ struct CampaignReport {
   std::size_t ckpt_misses = 0;
   // Final state of every task in the grid (resumed + fresh), in grid order.
   std::vector<TaskRecord> records;
+
+  // Every grid task has a record and every record is "ok".
+  bool all_ok() const;
 };
 
 // Runs `spec` with `runner`, appending one record per executed task to the
@@ -82,6 +86,25 @@ struct RunnerOptions {
 // failures come back as AttemptResult errors, never as exceptions or
 // aborts.
 TaskRunner make_sim_runner(const RunnerOptions& options = {});
+
+// Grid-cell lookup over a campaign's final records, keyed by task id so
+// that every axis the ids carry (functional warm-up, fast-forward, cosim)
+// is honoured. Holds references: `spec` and `report` must outlive it.
+class GridRecords {
+ public:
+  GridRecords(const SweepSpec& spec, const CampaignReport& report);
+
+  // The cell's record; nullptr when the store holds none.
+  const TaskRecord* find(const std::string& workload, u64 seed,
+                         const MachinePoint& machine) const;
+  // The cell's stats; throws std::out_of_range when it has no record.
+  const SimStats& stats(const std::string& workload, u64 seed,
+                        const MachinePoint& machine) const;
+
+ private:
+  const SweepSpec& spec_;
+  std::map<std::string, const TaskRecord*> by_id_;
+};
 
 // Per-campaign summary: one row per (workload, seed), one IPC column per
 // machine point (spec order), with failed tasks shown as their status. A

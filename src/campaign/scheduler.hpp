@@ -82,10 +82,10 @@ struct SchedulerOptions {
   // the task as the final argument — its id by default, or the full
   // status:"queued" record line (task_jsonl) with worker_task_json set. The
   // worker must run that one task and print its TaskRecord as a single
-  // JSONL line on stdout (bsp-sweep's hidden --worker and --worker-json
-  // flags implement the two forms). The JSONL form makes the command
-  // self-contained: remote workers use it because they have no SweepSpec
-  // to resolve an id against.
+  // JSONL line on stdout (bsp-sweep's hidden --worker-json flag implements
+  // the record form, which every bsp-sweep process worker uses). The JSONL
+  // form makes the command self-contained: remote workers need it because
+  // they have no SweepSpec to resolve an id against.
   std::vector<std::string> worker_cmd;
   bool worker_task_json = false;
   // Shared on-disk checkpoint cache directory (campaign/ckpt_cache.hpp).

@@ -126,7 +126,7 @@ MachineConfig simple_pipelined_machine(unsigned slices);
 // raises the L1D latency to 2 cycles.
 MachineConfig bitsliced_machine(unsigned slices, TechniqueSet techniques);
 
-// Pipeline-stage listing for Figure 10 ("--print-pipelines").
+// Pipeline-stage listing for Figure 10 (bsp-sim --print-config).
 std::string pipeline_diagram(const MachineConfig& cfg);
 
 // The cumulative technique stacks of Figures 11/12 for one slice count:

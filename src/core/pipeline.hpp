@@ -259,9 +259,9 @@ struct SimStats {
   // fast-forwarded because nothing could happen (see ARCHITECTURE.md §"Event-
   // driven scheduling"); it is deterministic for a given config + program.
   // `host_seconds` is the wall-clock time Simulator::run spent in its cycle
-  // loop. It is host-side only: equivalence comparisons must ignore it, and
-  // the campaign store records it next to duration_ms rather than with the
-  // architectural counters.
+  // loop plus any Simulator::warm before it. It is host-side only:
+  // equivalence comparisons must ignore it, and the campaign store records
+  // it next to duration_ms rather than with the architectural counters.
   u64 idle_cycles_skipped = 0;
 
   // --- CPI-stack cycle accounting (obs/cpi_stack.hpp) ----------------------

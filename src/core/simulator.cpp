@@ -625,6 +625,8 @@ struct Simulator::Impl {
   // Line address of the last I-cache probe (see fetch()); ~0u is never a
   // line address, so the first fetch always probes.
   u32 last_fetch_line_ = ~0u;
+  // Host seconds spent in warm(), reported in run()'s host_seconds.
+  double warm_seconds_ = 0;
   void set_mem_phase(RuuEntry& e, MemPhase p) {
     if (e.mem_phase == MemPhase::Done && p != MemPhase::Done)
       mem_scan_from = 0;
@@ -2620,7 +2622,7 @@ struct Simulator::Impl {
       }
     }
     stats.cycles = now - measure_base_cycle;
-    stats.host_seconds = timer.seconds();
+    stats.host_seconds = warm_seconds_ + timer.seconds();
     if (sampler && warm) sampler->finish(stats);
     if (host_profile_on) {
       hprof.enabled = true;
@@ -2655,7 +2657,11 @@ SimResult Simulator::run(u64 max_commits, u64 warmup_commits) {
   return impl_->run(max_commits, warmup_commits);
 }
 
-void Simulator::warm(u64 n) { impl_->warm(n); }
+void Simulator::warm(u64 n) {
+  const WallTimer timer;
+  impl_->warm(n);
+  impl_->warm_seconds_ += timer.seconds();
+}
 
 void Simulator::set_pipe_trace(std::ostream& os, Cycle start, Cycle end) {
   if (impl_->owned_pipe_sink) {  // re-target: drop the previous sink

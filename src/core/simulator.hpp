@@ -119,7 +119,8 @@ class Simulator {
   // only the last D warm-up commits simulated in detail. A fault or
   // checker divergence surfaces as run()'s error; a program that exits
   // while warming makes run() return `exited` with nothing measured. May
-  // be called once, before run().
+  // be called once, before run(); its host time counts in run()'s
+  // SimStats::host_seconds.
   void warm(u64 n);
 
   // Selects the co-simulation cadence (default: CosimMode::kFull). Must be

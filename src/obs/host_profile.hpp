@@ -1,9 +1,9 @@
 // Host-phase profiling: where does the simulator's *host* time go?
 //
-// `SimStats::host_seconds` says how long the cycle loop ran; this breaks
-// that wall-clock down by scheduler phase so a BENCH_simcore.json
-// regression can be attributed ("commit/co-sim got slower") instead of
-// merely observed. Opt-in (`Simulator::enable_host_profile()`): the
+// `SimStats::host_seconds` says how long the cycle loop (plus any
+// functional warming before it) ran; this breaks the loop's wall-clock down
+// by scheduler phase so a BENCH_simcore.json regression can be attributed
+// ("commit/co-sim got slower") instead of merely observed. Opt-in (`Simulator::enable_host_profile()`): the
 // per-phase `steady_clock` reads cost real nanoseconds per simulated
 // cycle, so the default run keeps the loop clean and `enabled` false.
 //

@@ -127,8 +127,8 @@ class ArgParser {
     });
   }
 
-  // Internal plumbing options (e.g. bsp-sweep's --worker): parsed like any
-  // value option but left out of --help.
+  // Internal plumbing options (e.g. bsp-sweep's --worker-json): parsed like
+  // any value option but left out of --help.
   void add_hidden_value(const std::string& names,
                         const std::string& placeholder,
                         const std::string& help,

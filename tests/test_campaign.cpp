@@ -5,7 +5,9 @@
 // runner to simulate().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -463,10 +465,17 @@ TEST(Campaign, SimRunnerMatchesLegacySimulate) {
 }
 
 TEST(Builtin, CampaignsExpandAndStayAlignedWithTheLegacyStacks) {
-  ASSERT_NE(find_campaign("fig11"), nullptr);
-  ASSERT_NE(find_campaign("fig12"), nullptr);
-  ASSERT_NE(find_campaign("abl_slice_width"), nullptr);
+  // Figure 12 renders from fig11's records; no campaign of its own.
+  EXPECT_EQ(find_campaign("fig12"), nullptr);
   EXPECT_EQ(find_campaign("nope"), nullptr);
+  const std::map<std::string, std::size_t> sizes = {
+      {"fig11", 143},    {"abl_slice_width", 28}, {"table1", 11},
+      {"abl_seeds", 60}, {"abl_extensions", 44},  {"abl_sam", 44}};
+  for (const auto& [name, size] : sizes) {
+    ASSERT_NE(find_campaign(name), nullptr) << name;
+    EXPECT_EQ(find_campaign(name)->make().expand().size(), size) << name;
+  }
+  EXPECT_EQ(builtin_campaigns().size(), sizes.size());
 
   const SweepSpec fig11 = find_campaign("fig11")->make();
   // base + (1 simple + 5 techniques) per slice count.
@@ -482,12 +491,134 @@ TEST(Builtin, CampaignsExpandAndStayAlignedWithTheLegacyStacks) {
   EXPECT_EQ(last.techniques, kAllTechniques);
 
   for (const auto& c : builtin_campaigns()) {
-    const auto tasks = c.make().expand();
-    EXPECT_FALSE(tasks.empty()) << c.name;
+    const SweepSpec spec = c.make();
+    EXPECT_EQ(spec.detailed_warmup, 10'000u) << c.name;
+    const auto tasks = spec.expand();
     std::set<std::string> ids;
     for (const auto& t : tasks) ids.insert(t.id());
     EXPECT_EQ(ids.size(), tasks.size()) << c.name;
   }
+}
+
+// Fixed stats for the report tests: 10000 commits, and cycles chosen per
+// machine so every IPC, ratio and percentage below is exact.
+SimStats report_stats(const TaskSpec& task) {
+  SimStats s;
+  s.committed = 10'000;
+  const MachinePoint& m = task.machine;
+  // Stack depth: 0 = simple pipelining, 1..5 = techniques added so far
+  // (the extension ablations' sets saturate at 5).
+  const int depth = std::min(std::popcount(m.techniques), 5);
+  // IPC 1.0, 1.25, 1.6, 2.0, 2.5, 3.2 up the stack; the base machine 4.0.
+  const u64 stack_cycles[] = {10'000, 8'000, 6'250, 5'000, 4'000, 3'125};
+  s.cycles = m.kind == MachineKind::Base ? 2'500 : stack_cycles[depth];
+  if (task.campaign == "abl_seeds") {
+    // base 2.0 and simple 1.0; the full x2 machine varies by seed.
+    const std::map<u64, u64> full_cycles = {{0x5eed, 8'000},
+                                            {0xD00D, 6'250},
+                                            {0xBEE5, 5'000},
+                                            {0x1234, 8'000},
+                                            {0xFEED, 6'250}};
+    s.cycles = m.kind == MachineKind::Base     ? 5'000
+               : m.kind == MachineKind::Simple ? 10'000
+                                               : full_cycles.at(task.seed);
+  }
+  return s;
+}
+
+CampaignReport run_for_report(const SweepSpec& spec, const std::string& tag,
+                              const TaskRunner& runner) {
+  CampaignOptions options;
+  options.out_path = temp_path("report_" + tag);
+  options.fresh = true;
+  options.progress = false;
+  CampaignReport report = run_campaign(spec, runner, options);
+  std::remove(options.out_path.c_str());
+  return report;
+}
+
+std::string render(const BuiltinCampaign& c, const SweepSpec& spec,
+                   const CampaignReport& report) {
+  std::ostringstream os;
+  c.report(spec, report, /*csv=*/true, os);
+  return os.str();
+}
+
+TaskRunner report_runner() {
+  return [](const TaskSpec& task) {
+    AttemptResult r;
+    r.stats = report_stats(task);
+    return r;
+  };
+}
+
+TEST(Builtin, Fig11ReportDerivesFigure11And12FromTheSameRecords) {
+  const BuiltinCampaign& c = *find_campaign("fig11");
+  SweepSpec spec = c.make();
+  spec.workloads = {"li"};
+  const CampaignReport report = run_for_report(spec, "fig11", report_runner());
+  ASSERT_TRUE(report.all_ok());
+  const std::string out = render(c, spec, report);
+
+  // Figure 11: full stack 3.2 vs base 4.0 and vs simple pipelining 1.0.
+  EXPECT_NE(out.find("li,4.000,1.000,1.250,1.600,2.000,2.500,3.200,0.0%\n"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("full vs base:  -20.0%"), std::string::npos) << out;
+  EXPECT_NE(out.find("full vs simple pipelining: 220.0%"), std::string::npos);
+
+  // Figure 12: per-technique gains over simple pipelining sum to the total
+  // (25 + 35 + 40 + 50 + 70 = 220); "new techniques" is everything past
+  // partial operand bypassing (220 - 25).
+  const std::string row = "li,25.0%,35.0%,40.0%,50.0%,70.0%,220.0%,195.0%\n";
+  EXPECT_NE(out.find(row), std::string::npos) << out;
+  EXPECT_NE(out.find("average total speedup: 220.0%"), std::string::npos);
+  EXPECT_NE(out.find("from partial operand bypassing: 25.0%"),
+            std::string::npos);
+  EXPECT_NE(out.find("from the newly proposed techniques: 195.0%"),
+            std::string::npos);
+}
+
+TEST(Builtin, AblSeedsReportSpreadsOverEverySeed) {
+  const BuiltinCampaign& c = *find_campaign("abl_seeds");
+  SweepSpec spec = c.make();
+  spec.workloads = {"bzip"};
+  const CampaignReport report =
+      run_for_report(spec, "seeds", report_runner());
+  const std::string out = render(c, spec, report);
+  // full/simple: 25%, 60%, 100%, 25%, 60%; full/base: -37.5% .. 0%.
+  EXPECT_NE(out.find("bzip,48869,2.000,1.000,2.000,100.0%,0.0%\n"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("bzip,spread,,,,25.0%..100.0%,-37.5%..0.0%\n"),
+            std::string::npos)
+      << out;
+}
+
+TEST(Builtin, EveryReportRendersItsGridAndOnlyACompleteOne) {
+  for (const auto& c : builtin_campaigns()) {
+    if (!c.report) continue;
+    SweepSpec spec = c.make();
+    spec.workloads.resize(1);
+    const CampaignReport report =
+        run_for_report(spec, c.name, report_runner());
+    ASSERT_TRUE(report.all_ok()) << c.name;
+    EXPECT_NE(render(c, spec, report).find(spec.workloads.front()),
+              std::string::npos)
+        << c.name;
+  }
+
+  // One failed task: bsp-sweep prints summary_table instead of the report.
+  SweepSpec spec = find_campaign("table1")->make();
+  spec.workloads = {"li", "go"};
+  const CampaignReport report =
+      run_for_report(spec, "failed", [](const TaskSpec& task) {
+        AttemptResult r;
+        r.stats = report_stats(task);
+        if (task.workload == "go") r.error = "injected";
+        return r;
+      });
+  EXPECT_FALSE(report.all_ok());
 }
 
 TEST(SweepSpec, FastForwardEntersTaskIdOnlyWhenSet) {

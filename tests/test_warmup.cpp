@@ -7,6 +7,7 @@
 
 #include "asm/assembler.hpp"
 #include "core/simulator.hpp"
+#include "stats/stats.hpp"
 #include "workloads/workloads.hpp"
 
 namespace bsp {
@@ -102,6 +103,21 @@ loop:
   EXPECT_TRUE(r.exited);
   EXPECT_EQ(r.exit_code, 7);
   EXPECT_EQ(r.stats.committed, 0u);
+}
+
+// host_seconds covers the whole simulation a task paid for, functional
+// warming included: with a long warm() and a short run(), the reported
+// host time must hold at least half the externally timed warm().
+TEST(FunctionalWarmup, HostSecondsCountsWarmingTime) {
+  const Workload w = build_workload("gzip");
+  Simulator sim(base_machine(), w.program);
+  const WallTimer timer;
+  sim.warm(200'000);
+  const double warm_sec = timer.seconds();
+  const SimResult r = sim.run(1'000);
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_GE(r.stats.host_seconds, 0.5 * warm_sec)
+      << "warm() took " << warm_sec << " s";
 }
 
 // Replay-fixpoint liveness. Recovery restores displaced rename mappings,

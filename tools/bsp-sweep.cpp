@@ -9,7 +9,7 @@
 // skipped.
 //
 // With --isolate process every task runs in its own worker subprocess
-// (this binary re-exec'd with the hidden --worker flag): a segfaulting
+// (this binary re-exec'd with the hidden --worker-json flag): a segfaulting
 // configuration is recorded as "crashed" with its signal name, a wedged
 // one is SIGKILLed at the --timeout deadline and its core reclaimed, and
 // per-task rusage lands in the store. The sweep itself exits 0 whenever it
@@ -30,7 +30,7 @@
 //   bsp-sweep --campaign fig11 -n 20000 -w li       # quick smoke slice
 //   bsp-sweep --campaign fig11 --detailed-warmup 300000  # all-detailed
 //                                                   # warm-up reference
-//   bsp-sweep --campaign fig12 --out results/fig12.jsonl --retry-failed
+//   bsp-sweep --campaign table1 --out results/table1.jsonl --retry-failed
 //   bsp-sweep --campaign fig11 --isolate process --timeout 600
 //   bsp-sweep --campaign fig11 --serve :9000 --status-endpoint :9001
 //   bsp-sweep --connect coordinator-host:9000 -j 8
@@ -125,23 +125,10 @@ int run_worker_task(const TaskSpec& task, const TaskRunner& runner) {
   return 0;
 }
 
-// --worker form: the task arrives as an id and is resolved against the
-// worker's own expansion of the campaign (requires the parent's spec-shape
-// flags on the command line).
-int run_worker(const SweepSpec& spec, const TaskRunner& runner,
-               const std::string& task_id) {
-  const auto tasks = spec.expand();
-  for (const auto& t : tasks)
-    if (t.id() == task_id) return run_worker_task(t, runner);
-  std::cerr << "bsp-sweep --worker: task '" << task_id
-            << "' not in the expanded campaign\n";
-  return 3;
-}
-
-// --worker-json form: the task arrives as a full status:"queued" record
-// line (campaign::task_jsonl), making the worker command self-contained —
-// no campaign re-expansion, which is what lets remote workers run tasks
-// for a spec they never saw.
+// --worker-json: the task arrives as a full status:"queued" record line
+// (campaign::task_jsonl), making the worker command self-contained — no
+// campaign re-expansion, which is what lets remote workers run tasks for a
+// spec they never saw.
 int run_worker_json(const TaskRunner& runner, const std::string& record) {
   const auto rec = parse_jsonl(record);
   if (!rec) {
@@ -162,7 +149,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> workloads;
   std::vector<u64> seeds;
   std::string isolate = "thread";
-  std::string worker_task, worker_json;
+  std::string worker_json;
   std::string serve_addr, connect_addr, status_addr, port_file;
   double heartbeat_sec = 1.0, worker_deadline_sec = 15, steal_after_sec = 20;
   CampaignOptions options;
@@ -187,8 +174,8 @@ int main(int argc, char** argv) {
   parser.add_value("--detailed-warmup", "N",
                    "simulate only the last N warm-up commits in detail and "
                    "warm caches and predictors functionally before them "
-                   "(fig11/fig12/abl_slice_width default 10000; N >= the "
-                   "warm-up selects the all-detailed reference path); a "
+                   "(built-in campaigns default 10000; N >= the warm-up "
+                   "selects the all-detailed reference path); a "
                    "functional share F > 0 adds /fw=F to each task id",
                    [&](const std::string& v) {
                      detailed_warmup = parse_cli_u64("--detailed-warmup", v);
@@ -205,7 +192,8 @@ int main(int argc, char** argv) {
   parser.add_value("-w, --workload", "NAME",
                    "restrict to one workload (repeatable)", &workloads);
   parser.add_value("--seed", "S",
-                   "workload seed, hex ok (repeatable; default 0x5eed)",
+                   "workload seed, hex ok (repeatable; default: the "
+                   "campaign's, 0x5eed for most)",
                    &seeds);
   parser.add_value("-j, --jobs", "N",
                    "parallel simulations (default: hardware threads)",
@@ -325,9 +313,6 @@ int main(int argc, char** argv) {
                    "duplicate-dispatch in-flight tasks older than this "
                    "(default 20; first record wins)",
                    &steal_after_sec);
-  parser.add_hidden_value("--worker", "TASK-ID",
-                          "(internal) run one task and print its record",
-                          &worker_task);
   parser.add_hidden_value("--worker-json", "RECORD",
                           "(internal) run the task described by a queued "
                           "record line and print its record",
@@ -496,8 +481,6 @@ int main(int argc, char** argv) {
   if (has_ff) spec.fast_forward = fast_forward;
   if (!runner_options.cosim.empty()) spec.cosim = runner_options.cosim;
 
-  if (!worker_task.empty()) return run_worker(spec, make_runner(), worker_task);
-
   if (dry_run) {
     for (const auto& task : spec.expand()) std::cout << task.id() << "\n";
     return 0;
@@ -568,11 +551,15 @@ int main(int argc, char** argv) {
               << " hit / " << report.ckpt_misses << " miss\n";
   }
   std::cout << "results: " << options.out_path << "\n\n";
-  const Table summary = summary_table(spec, report);
-  if (csv)
-    summary.print_csv(std::cout);
-  else
-    summary.print(std::cout);
+  if (builtin->report && report.all_ok()) {
+    builtin->report(spec, report, csv, std::cout);
+  } else {
+    const Table summary = summary_table(spec, report);
+    if (csv)
+      summary.print_csv(std::cout);
+    else
+      summary.print(std::cout);
+  }
 
   if (runner_options.cpi_stack) {
     // Per-machine CPI aggregate: cpi_* leaves are registered counters, so
